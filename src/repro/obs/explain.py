@@ -36,7 +36,7 @@ class QueryExplain:
                  "schema_nodes_scanned", "pruned_schema_nodes",
                  "axis_steps", "nodes_visited", "nodes_returned",
                  "elapsed_s", "index_used", "compiled", "stage_ns",
-                 "not_lowerable_reason", "cost_table",
+                 "cost_table",
                  "cost_estimated_rows", "cost_total")
 
     def __init__(self, path: str) -> None:
@@ -64,9 +64,6 @@ class QueryExplain:
         #: Per-stage ``(name, elapsed_ns)`` pairs of the closure chain,
         #: source first; empty for interpreted runs.
         self.stage_ns: list = []
-        #: Why lowering declined this plan (empty when the plan
-        #: compiled, or no lowering was attempted yet).
-        self.not_lowerable_reason = ""
         #: Per-candidate cost estimates from the cost-based planner
         #: (one dict per candidate, the chosen one flagged); empty
         #: when the plan was picked structurally.
@@ -91,7 +88,6 @@ class QueryExplain:
             "nodes_returned": self.nodes_returned,
             "elapsed_s": self.elapsed_s,
             "compiled": self.compiled,
-            "not_lowerable_reason": self.not_lowerable_reason,
             "stage_ns": [[name, elapsed] for name, elapsed
                          in self.stage_ns],
             "cost_table": list(self.cost_table),
@@ -115,9 +111,6 @@ class QueryExplain:
             f"  elapsed:            {self.elapsed_s * 1e3:.3f}ms",
             f"  compiled:           {'yes' if self.compiled else 'no'}",
         ]
-        if not self.compiled and self.not_lowerable_reason:
-            lines.append(
-                f"  not lowerable:      {self.not_lowerable_reason}")
         for name, elapsed_ns in self.stage_ns:
             lines.append(
                 f"    stage {name + ':':<22}{elapsed_ns / 1e6:.3f}ms")

@@ -7,22 +7,21 @@ Two caches keep repeated queries off the slow paths:
   pure (the same text always yields the same frozen ``Path``);
 * a per-engine LRU **plan cache** (used by
   :class:`~repro.query.planner.QueryPlanner`) — compiled plans are
-  keyed by ``Path`` and stamped with **three** freshness marks, each
-  invalidating exactly what it must:
+  keyed by ``Path`` and carrying **one** freshness stamp, the tuple
+  ``(schema version, index epoch, statistics epoch)``.  A hit costs
+  one stamp comparison; on a mismatch the planner invalidates exactly
+  what it must:
 
-  - the descriptive-schema *version*: a grown schema can change what
-    a path matches, so the stale plan is dropped (Section 9.1: a new
-    document path means a new schema path; nothing else can change
-    the match);
-  - the index (DDL) *epoch*: CREATE/DROP INDEX triggers a
-    recompile-and-compare — an unchanged decision is restamped in
-    place, a changed one invalidated;
-  - the statistics *epoch*
-    (:class:`~repro.obs.statistics.StatisticsCollector`): when
-    collected statistics drift past the relative threshold, plans
-    none of whose priced schema nodes drifted are restamped in place
-    without even recompiling; drifted ones are re-priced and kept if
-    the cost-based decision stands.
+  - a grown descriptive schema can change what a path matches, so
+    the stale plan is dropped (Section 9.1: a new document path means
+    a new schema path; nothing else can change the match);
+  - after CREATE/DROP INDEX, or when statistics
+    (:class:`~repro.obs.statistics.StatisticsCollector`) drift in a
+    schema node the plan priced, the plan is recompiled and compared
+    — an unchanged decision is restamped in place, a changed one
+    invalidated;
+  - when statistics drift only elsewhere, the plan is restamped in
+    place without recompiling.
 
 Both count through the observability layer's instruments
 (:mod:`repro.obs.metrics`) — one counter mechanism for the whole

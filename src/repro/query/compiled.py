@@ -55,13 +55,7 @@ from repro.query.paths import (
     PositionPredicate,
     Step,
 )
-from repro.query.planner import (
-    NOT_LOWERABLE,
-    CompiledPlan,
-    _doc_order_key,
-    _schema_accepts,
-    _schema_candidates,
-)
+from repro.query.planner import CompiledPlan, _doc_order_key, match_step
 from repro.storage.dschema import SchemaNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,14 +84,13 @@ class CompiledExecutor:
         self.source = source
         self.stages = tuple(stages)
 
-    def run(self, queries: "StorageQueryEngine") -> list:
+    def run(self) -> list:
         result = self.source()
         for _name, stage in self.stages:
             result = stage(result)
         return result
 
-    def run_explained(self, queries: "StorageQueryEngine",
-                      record: "QueryExplain") -> list:
+    def run_explained(self, record: "QueryExplain") -> list:
         timings: list[tuple[str, int]] = []
         started = time.perf_counter_ns()
         result = self.source()
@@ -128,8 +121,8 @@ class CompiledExecutor:
 
 
 def lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
-    """Lower *plan* into a :class:`CompiledExecutor` (or the
-    ``NOT_LOWERABLE`` sentinel for shapes the lowering declines).
+    """Lower *plan* into a :class:`CompiledExecutor` (every strategy
+    lowers).
 
     Called once per cached plan; the nanoseconds spent here are
     surfaced through the ``query.compile.ns`` counter so the benchmark
@@ -142,8 +135,7 @@ def lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
     registry = obs.REGISTRY
     registry.counter("query.compile.ns").inc(
         time.perf_counter_ns() - started)
-    registry.counter("query.plans.lowered" if executor is not NOT_LOWERABLE
-                     else "query.plans.not_lowerable").inc()
+    registry.counter("query.plans.lowered").inc()
     return executor
 
 
@@ -165,17 +157,13 @@ def _lower(plan: CompiledPlan, queries: "StorageQueryEngine"):
         # after the decisive predicate).
         for predicate in plan.rest_predicates:
             stages.append(_generic_predicate_stage(queries, predicate))
-    elif strategy in ("scan", "hybrid"):
+    else:  # scan / hybrid
         source_name, source = _scan_source(plan.scan_nodes)
         scan_step = (steps[-1] if plan.split is None
                      else steps[plan.split])
         for predicate in scan_step.predicates:
             stages.append(_predicate_stage(queries, plan.scan_nodes,
                                            predicate))
-    else:  # future strategies stay interpreted until lowered here
-        plan.not_lowerable_reason = (
-            f"no closure lowering for strategy {strategy!r}")
-        return NOT_LOWERABLE
     if plan.split is not None:
         stages.extend(_suffix_stages(queries, plan.scan_nodes,
                                      steps[plan.split + 1:]))
@@ -271,7 +259,8 @@ def _probe_source(plan: CompiledPlan) -> tuple[str, Callable[[], list]]:
 def _generic_predicate_stage(queries: "StorageQueryEngine",
                              predicate) -> tuple[str, Stage]:
     """The unspecialized per-descriptor test (probe results, whose
-    schema nodes the plan does not pin)."""
+    schema nodes the plan does not pin, and every positional
+    predicate)."""
     if isinstance(predicate, PositionPredicate):
         def positional(descriptors: list) -> list:
             return queries._apply_final_predicates(descriptors,
@@ -291,10 +280,7 @@ def _predicate_stage(queries: "StorageQueryEngine",
     if isinstance(predicate, PositionPredicate):
         # Positional grouping over a flat scan is exactly what the
         # interpreted _apply_final_predicates does; keep it shared.
-        def positional(descriptors: list) -> list:
-            return queries._apply_final_predicates(descriptors,
-                                                   (predicate,))
-        return "predicate[pos]", positional
+        return _generic_predicate_stage(queries, predicate)
     if isinstance(predicate, AttributePredicate):
         return _attribute_predicate_stage(schema_nodes, predicate)
     if isinstance(predicate, ChildPredicate):
@@ -386,19 +372,6 @@ def _child_predicate_stage(queries: "StorageQueryEngine", schema_nodes,
 # Suffix step stages (hybrid / index plans with a split).
 
 
-def _match_step(schema_nodes: "list[SchemaNode]",
-                step: Step) -> "list[SchemaNode]":
-    bucket: list[SchemaNode] = []
-    seen: set[SchemaNode] = set()
-    for schema_node in schema_nodes:
-        for candidate in _schema_candidates(schema_node, step):
-            if candidate not in seen and _schema_accepts(candidate,
-                                                         step):
-                seen.add(candidate)
-                bucket.append(candidate)
-    return bucket
-
-
 def _ancestor_free(schema_nodes: "list[SchemaNode]") -> bool:
     """No member is a schema ancestor of another.  Because a schema
     node's path is unique (§9.1), descriptor-level ancestor relations
@@ -420,7 +393,7 @@ def _suffix_stages(queries: "StorageQueryEngine", context_nodes,
     stages: list[tuple[str, Stage]] = []
     current: list[SchemaNode] = list(context_nodes)
     for position, step in enumerate(steps):
-        destination = _match_step(current, step)
+        destination = match_step(current, step)
         if not destination:
             stages.append(("step-empty", lambda _descriptors: []))
             return stages

@@ -5,11 +5,11 @@ answer a path query by scanning only the blocks of the matching schema
 nodes.  The evaluator used to re-derive that match on every call; this
 module compiles a path **once** into a :class:`CompiledPlan` — the
 matched schema nodes plus an execution strategy — and caches the plan
-keyed by the path and the schema's growth version.  Because every
-document path has exactly one schema path (the defining property of
-Section 9.1), a plan stays valid until the schema itself grows: pure
-data inserts add descriptors to existing block lists, which the plan's
-live block scan picks up for free.
+keyed by the path and stamped with the schema's growth version.
+Because every document path has exactly one schema path (the defining
+property of Section 9.1), a plan stays valid until the schema itself
+grows: pure data inserts add descriptors to existing block lists,
+which the plan's live block scan picks up for free.
 
 Strategies, from fastest to slowest:
 
@@ -36,23 +36,25 @@ fifth strategy slots in above ``scan``:
   answered by a path index's pre-merged posting list.  Remaining
   predicates and suffix steps run exactly as in ``scan``/``hybrid``.
 
-Plans additionally stamp the index *epoch* (a DDL counter): when an
-index is created or dropped, a cached plan is recompiled on next use
-and kept (restamped) if its decision did not change — so DDL
-invalidates exactly the affected plans.
+One routine plans every path: :func:`_candidate_plans` enumerates
+**every** applicable candidate — the scan/hybrid baseline, one
+value-index probe per eligible predicate, the path-index probe, and
+naive — and marks the one the fixed structural precedence picks
+(probe on the first predicate > scan/hybrid).  With engine statistics
+available (the default through :class:`QueryPlanner`) the cheapest
+candidate under the :mod:`repro.query.cost` model wins; the forced
+policies and the statistics-free path take fixed picks from the same
+enumeration.
 
-With engine statistics available (the default through
-:class:`QueryPlanner`), the strategy is no longer picked by fixed
-structural precedence: the planner enumerates **every** applicable
-candidate — the scan/hybrid baseline, one value-index probe per
-eligible predicate, the path-index probe, and priced-naive — and
-takes the cheapest under the :mod:`repro.query.cost` model.  Plans
-then also stamp the **statistics epoch** and the schema nodes whose
-statistics they priced: when collected statistics drift past the
-relative threshold, exactly the plans whose pricing inputs moved are
-re-priced (and kept when the decision stands); every other plan is
-restamped in place without recompiling — the same exactly-scoped
-invalidation contract the index epoch established.
+Each plan carries one freshness **stamp**, ``(schema version, index
+epoch, statistics epoch)``, set once when the plan compiles.  A cached
+plan whose stamp matches the engine's is handed out after one
+comparison.  On a mismatch, a grown schema invalidates the plan;
+DDL (CREATE/DROP INDEX) or drift in a schema node whose statistics
+the plan priced recompiles it and keeps it (restamped) if its
+decision did not change; statistics drift elsewhere restamps it in
+place without recompiling — so DDL and statistics invalidate exactly
+the affected plans.
 """
 
 from __future__ import annotations
@@ -110,25 +112,30 @@ def _schema_accepts(schema_node: SchemaNode, step: Step) -> bool:
     return step.matches_name(schema_node.name.local)
 
 
-def match_schema_nodes(root: SchemaNode,
-                       steps: tuple[Step, ...]) -> list[SchemaNode]:
-    """Schema nodes reached from *root* along *steps* (predicates are
-    ignored — this is the pure Section 9.1 path match).
+def match_step(schema_nodes: "list[SchemaNode]",
+               step: Step) -> "list[SchemaNode]":
+    """Schema nodes reached from *schema_nodes* by one *step*.
 
     Deduplication holds the schema nodes themselves (identity hash),
     not their transient ``id()``s.
     """
+    bucket: list[SchemaNode] = []
+    seen: set[SchemaNode] = set()
+    for schema_node in schema_nodes:
+        for candidate in _schema_candidates(schema_node, step):
+            if candidate not in seen and _schema_accepts(candidate, step):
+                seen.add(candidate)
+                bucket.append(candidate)
+    return bucket
+
+
+def match_schema_nodes(root: SchemaNode,
+                       steps: tuple[Step, ...]) -> list[SchemaNode]:
+    """Schema nodes reached from *root* along *steps* (predicates are
+    ignored — this is the pure Section 9.1 path match)."""
     current: list[SchemaNode] = [root]
     for step in steps:
-        bucket: list[SchemaNode] = []
-        seen: set[SchemaNode] = set()
-        for schema_node in current:
-            for candidate in _schema_candidates(schema_node, step):
-                if candidate not in seen and _schema_accepts(candidate,
-                                                             step):
-                    seen.add(candidate)
-                    bucket.append(candidate)
-        current = bucket
+        current = match_step(current, step)
     return current
 
 
@@ -167,31 +174,26 @@ def _doc_order_key(descriptor: "NodeDescriptor") -> bytes:
     return descriptor.nid.sort_key()
 
 
-#: Sentinel stored in :attr:`CompiledPlan.executor` when the lowering
-#: declines the plan's shape — execution then stays interpreted, and
-#: the decision is not retried until the plan is invalidated.
-NOT_LOWERABLE = object()
-
-
 class CompiledPlan:
     """One path compiled against one descriptive-schema version."""
 
-    __slots__ = ("path", "schema_version", "strategy", "scan_nodes",
-                 "split", "pruned_schema_nodes", "index_epoch",
-                 "probe", "rest_predicates", "index_used", "executor",
-                 "not_lowerable_reason", "stats_epoch", "stats_nodes",
-                 "cost", "cost_table")
+    __slots__ = ("path", "stamp", "strategy", "scan_nodes", "split",
+                 "pruned_schema_nodes", "probe", "rest_predicates",
+                 "index_used", "executor", "stats_nodes", "cost",
+                 "cost_table")
 
-    def __init__(self, path: Path, schema_version: int, strategy: str,
+    def __init__(self, path: Path, strategy: str,
                  scan_nodes: tuple[SchemaNode, ...],
                  split: Optional[int],
                  pruned_schema_nodes: int,
-                 index_epoch: int = 0,
                  probe: Optional[tuple] = None,
                  rest_predicates: tuple = (),
                  index_used: str = "") -> None:
         self.path = path
-        self.schema_version = schema_version
+        #: ``(schema version, index epoch, statistics epoch)`` the plan
+        #: was compiled under — set by :func:`compile_plan`, restamped
+        #: in place by the cache when a recheck keeps the plan.
+        self.stamp: tuple = ()
         #: "empty" | "index" | "scan" | "hybrid" | "naive".
         self.strategy = strategy
         #: Schema nodes whose block lists the plan scans ("scan": the
@@ -202,9 +204,6 @@ class CompiledPlan:
         self.split = split
         #: Schema nodes discarded by structural predicate pruning.
         self.pruned_schema_nodes = pruned_schema_nodes
-        #: DDL epoch the plan was compiled under (restamped by the
-        #: cache when DDL does not change the plan's decision).
-        self.index_epoch = index_epoch
         #: "index" strategy: ("eq", index, key, via_parent),
         #: ("exists", index, None, via_parent) or ("path", index).
         self.probe = probe
@@ -216,13 +215,6 @@ class CompiledPlan:
         #: built on the first cached execution, dropped whenever the
         #: plan is restamped after DDL (the probe bindings may differ).
         self.executor = None
-        #: Why the plan stays interpreted (set at planning time for
-        #: "naive" plans, by the lowering when it declines; "" while
-        #: undetermined or when the plan compiled).
-        self.not_lowerable_reason = ""
-        #: Statistics epoch the plan was priced under (restamped in
-        #: place while none of :attr:`stats_nodes` drift).
-        self.stats_epoch = 0
         #: Schema nodes whose statistics the cost model consulted when
         #: choosing this plan — the exact re-plan scope of a
         #: statistics-epoch bump.  Empty for structurally-forced plans
@@ -284,23 +276,17 @@ class CompiledPlan:
         pinned to the plan: the cache drops the whole plan when the
         schema grows and nulls :attr:`executor` when a DDL restamp
         keeps the plan, so a live executor is always consistent with
-        the bindings it closed over.  Falls back to the interpreted
-        :meth:`execute` for shapes the lowering declines.
+        the bindings it closed over.  Every strategy lowers.
         """
         executor = self.executor
         if executor is None:
             from repro.query.compiled import lower
             executor = lower(self, queries)
             self.executor = executor
-        if executor is NOT_LOWERABLE:
-            context = _explain.ACTIVE
-            if context is not None:
-                context.not_lowerable_reason = self.not_lowerable_reason
-            return self.execute(queries)
         context = _explain.ACTIVE
         if context is not None:
-            return executor.run_explained(queries, context)
-        return executor.run(queries)
+            return executor.run_explained(context)
+        return executor.run()
 
     def _execute_probe(self, queries: "StorageQueryEngine"
                        ) -> "list[NodeDescriptor]":
@@ -344,7 +330,7 @@ class CompiledPlan:
     def __repr__(self) -> str:
         return (f"CompiledPlan({self.path!r}, {self.strategy}, "
                 f"{len(self.scan_nodes)} schema nodes, "
-                f"v{self.schema_version})")
+                f"stamp {self.stamp})")
 
 
 #: Deterministic tie-break when candidates price equal: the historical
@@ -354,10 +340,10 @@ _STRATEGY_RANK = {"empty": 0, "index": 1, "scan": 2, "hybrid": 3,
 
 #: Planner policies: ``cost`` prices every candidate and takes the
 #: cheapest (falling back to ``structural`` without statistics);
-#: ``structural`` keeps the historical fixed precedence; ``scan``
-#: never probes an index; ``naive`` always navigates.  The forced
-#: policies exist for the benchmark harness and the parity tests —
-#: every policy returns the same rows.
+#: ``structural`` takes the enumeration's fixed-precedence pick;
+#: ``scan`` takes the baseline of an index-free enumeration; ``naive``
+#: always navigates.  The forced policies exist for the benchmark
+#: harness and the parity tests — every policy returns the same rows.
 POLICIES = ("cost", "structural", "scan", "naive")
 
 
@@ -372,18 +358,21 @@ def compile_plan(path: Path, schema: "DescriptiveSchema",
     :class:`~repro.obs.statistics.StatisticsCollector`; when given
     (and *policy* is ``cost``) every applicable candidate strategy is
     priced under :mod:`repro.query.cost` and the cheapest wins,
-    otherwise the historical structural precedence applies.
+    otherwise the enumeration's structural pick applies.  The plan's
+    :attr:`~CompiledPlan.stamp` is set here, once.
     """
     if obs.ENABLED:
         with obs.TRACER.span("query.plan.compile", path=str(path)):
             plan = _plan_for_policy(path, schema, indexes, stats,
                                     block_capacity, policy)
-    elif obs.RECORDING:
+    else:
         plan = _plan_for_policy(path, schema, indexes, stats,
                                 block_capacity, policy)
-    else:
-        return _plan_for_policy(path, schema, indexes, stats,
-                                block_capacity, policy)
+    plan.stamp = (schema.version,
+                  indexes.epoch if indexes is not None else 0,
+                  stats.epoch if stats is not None else 0)
+    if not obs.RECORDING:
+        return plan
     obs.REGISTRY.counter("query.plan.compiles").inc()
     obs.REGISTRY.counter(
         f"query.plan.strategy.{plan.strategy}").inc()
@@ -397,47 +386,21 @@ def _plan_for_policy(path: Path, schema: "DescriptiveSchema", indexes,
                      stats, block_capacity: int,
                      policy: str) -> CompiledPlan:
     if policy == "naive":
-        plan = CompiledPlan(path, schema.version, "naive", (), None, 0,
-                            index_epoch=indexes.epoch
-                            if indexes is not None else 0)
-        plan.not_lowerable_reason = "naive policy forced"
-    elif policy == "scan":
-        # Structural planning with the indexes hidden — but stamped
-        # with the real DDL epoch so the plan cache does not loop.
-        plan = _compile_plan(path, schema, None)
-        plan.index_epoch = indexes.epoch if indexes is not None else 0
-    elif policy == "structural" or stats is None:
-        plan = _compile_plan(path, schema, indexes)
-    else:
-        plan = _costed_plan(path, schema, indexes, stats,
-                            block_capacity)
-    if stats is not None:
-        plan.stats_epoch = stats.epoch
-    return plan
-
-
-def _forced_naive(path: Path, version: int,
-                  epoch: int) -> Optional[CompiledPlan]:
-    """The one structurally-forced strategy: positional predicates on
-    ``//`` steps have whole-selection semantics no block scan (or
-    probe) reproduces, so the whole query navigates."""
-    for step in path.steps:
-        if (step.axis == "descendant-or-self"
-                and any(isinstance(p, PositionPredicate)
-                        for p in step.predicates)):
-            plan = CompiledPlan(path, version, "naive", (), None, 0,
-                                index_epoch=epoch)
-            plan.not_lowerable_reason = (
-                "positional predicate on a descendant step needs "
-                "whole-selection navigation")
-            return plan
-    return None
+        return CompiledPlan(path, "naive", (), None, 0)
+    if policy == "scan":
+        return _candidate_plans(path, schema, None)[0][0]
+    candidates, structural_pick = _candidate_plans(path, schema, indexes)
+    if policy == "structural" or stats is None:
+        return candidates[structural_pick]
+    return _costed_plan(candidates, structural_pick, schema, stats,
+                        block_capacity)
 
 
 def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
                      ) -> "tuple[list[CompiledPlan], int]":
     """Every strategy that can answer *path*, plus the index of the
-    candidate the historical structural precedence would pick.
+    candidate the structural precedence picks (a probe on the first
+    predicate, else the scan/hybrid baseline).
 
     The first entry is always the structurally-forced plan when one
     exists (naive-on-``//``-positional, or ``empty``), in which case
@@ -449,11 +412,15 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
     plan shapes :mod:`repro.query.compiled` already lowers.
     """
     steps = path.steps
-    version = schema.version
-    epoch = indexes.epoch if indexes is not None else 0
-    forced = _forced_naive(path, version, epoch)
-    if forced is not None:
-        return [forced], 0
+    naive = CompiledPlan(path, "naive", (), None, 0)
+    for step in steps:
+        if (step.axis == "descendant-or-self"
+                and any(isinstance(p, PositionPredicate)
+                        for p in step.predicates)):
+            # Positional predicates on ``//`` steps have
+            # whole-selection semantics no block scan (or probe)
+            # reproduces, so the whole query navigates.
+            return [naive], 0
     split: Optional[int] = None
     for index, step in enumerate(steps[:-1]):
         if step.predicates:
@@ -468,13 +435,11 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
         pruned = len(matched) - len(feasible)
         matched = feasible
     if not matched:
-        return [CompiledPlan(path, version, "empty", (), split, pruned,
-                             index_epoch=epoch)], 0
+        return [CompiledPlan(path, "empty", (), split, pruned)], 0
     base_strategy = "scan" if split is None else "hybrid"
     predicates = prefix[-1].predicates
-    candidates = [CompiledPlan(path, version, base_strategy,
-                               tuple(matched), split, pruned,
-                               index_epoch=epoch)]
+    candidates = [CompiledPlan(path, base_strategy, tuple(matched),
+                               split, pruned)]
     structural_pick = 0
     if indexes is not None and indexes.active:
         if predicates and len(matched) == 1:
@@ -489,9 +454,8 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
                     continue
                 rest = predicates[:position] + predicates[position + 1:]
                 candidate = CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch, probe=probe,
-                    rest_predicates=rest,
+                    path, "index", tuple(matched), split, pruned,
+                    probe=probe, rest_predicates=rest,
                     index_used=f"value:{probe[1].definition.path}")
                 candidates.append(candidate)
                 if position == 0:
@@ -501,24 +465,19 @@ def _candidate_plans(path: Path, schema: "DescriptiveSchema", indexes
             path_index = indexes.path_probe(matched)
             if path_index is not None:
                 candidates.append(CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch,
+                    path, "index", tuple(matched), split, pruned,
                     probe=("path", path_index),
                     index_used=f"path:{path_index.definition.path}"))
                 structural_pick = len(candidates) - 1
-    naive = CompiledPlan(path, version, "naive", (), None, 0,
-                         index_epoch=epoch)
-    naive.not_lowerable_reason = "naive strategy is interpreted"
     candidates.append(naive)
     return candidates, structural_pick
 
 
-def _costed_plan(path: Path, schema: "DescriptiveSchema", indexes,
-                 stats, block_capacity: int) -> CompiledPlan:
-    """Enumerate candidates, price each, take the cheapest."""
+def _costed_plan(candidates: "list[CompiledPlan]", structural_pick: int,
+                 schema: "DescriptiveSchema", stats,
+                 block_capacity: int) -> CompiledPlan:
+    """Price each candidate, take the cheapest."""
     from repro.query.cost import CostModel
-    candidates, structural_pick = _candidate_plans(path, schema,
-                                                   indexes)
     model = CostModel(stats, block_capacity)
     table = []
     for candidate in candidates:
@@ -533,7 +492,6 @@ def _costed_plan(path: Path, schema: "DescriptiveSchema", indexes,
     table[best].chosen = True
     plan.cost_table = tuple(table)
     plan.stats_nodes = tuple(model.consulted)
-    plan.stats_epoch = stats.epoch
     if obs.RECORDING:
         registry = obs.REGISTRY
         registry.counter("query.cost.priced").inc()
@@ -542,55 +500,6 @@ def _costed_plan(path: Path, schema: "DescriptiveSchema", indexes,
         if best != structural_pick:
             registry.counter("query.cost.overrides").inc()
     return plan
-
-
-def _compile_plan(path: Path, schema: "DescriptiveSchema",
-                  indexes=None) -> CompiledPlan:
-    """The historical structural planner: fixed precedence
-    (index probe on the first predicate > scan/hybrid), no pricing."""
-    steps = path.steps
-    version = schema.version
-    epoch = indexes.epoch if indexes is not None else 0
-    forced = _forced_naive(path, version, epoch)
-    if forced is not None:
-        return forced
-    split: Optional[int] = None
-    for index, step in enumerate(steps[:-1]):
-        if step.predicates:
-            split = index
-            break
-    prefix = steps if split is None else steps[:split + 1]
-    matched = match_schema_nodes(schema.root, prefix)
-    pruned = 0
-    if prefix[-1].predicates:
-        feasible = [node for node in matched
-                    if structurally_feasible(node, prefix[-1].predicates)]
-        pruned = len(matched) - len(feasible)
-        matched = feasible
-    if not matched:
-        return CompiledPlan(path, version, "empty", (), split, pruned,
-                            index_epoch=epoch)
-    strategy = "scan" if split is None else "hybrid"
-    predicates = prefix[-1].predicates
-    if indexes is not None and indexes.active:
-        if predicates and len(matched) == 1:
-            probe = indexes.plan_probe(matched[0], predicates[0])
-            if probe is not None:
-                return CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch, probe=probe,
-                    rest_predicates=predicates[1:],
-                    index_used=f"value:{probe[1].definition.path}")
-        elif not predicates and split is None and len(matched) > 1:
-            path_index = indexes.path_probe(matched)
-            if path_index is not None:
-                return CompiledPlan(
-                    path, version, "index", tuple(matched), split,
-                    pruned, index_epoch=epoch,
-                    probe=("path", path_index),
-                    index_used=f"path:{path_index.definition.path}")
-    return CompiledPlan(path, version, strategy, tuple(matched), split,
-                        pruned, index_epoch=epoch)
 
 
 def _same_decision(fresh: CompiledPlan, stale: CompiledPlan) -> bool:
@@ -606,8 +515,7 @@ def _same_decision(fresh: CompiledPlan, stale: CompiledPlan) -> bool:
 def _adopt(stale: CompiledPlan, fresh: CompiledPlan,
            drop_executor: bool) -> None:
     """Restamp *stale* in place from an equivalent *fresh* compile."""
-    stale.index_epoch = fresh.index_epoch
-    stale.stats_epoch = fresh.stats_epoch
+    stale.stamp = fresh.stamp
     stale.stats_nodes = fresh.stats_nodes
     stale.cost = fresh.cost
     stale.cost_table = fresh.cost_table
@@ -621,16 +529,14 @@ def _adopt(stale: CompiledPlan, fresh: CompiledPlan,
 class QueryPlanner:
     """Per-engine plan compiler with an LRU (path → plan) cache.
 
-    A cached plan is handed out only if its schema version still
-    matches; a grown schema invalidates exactly the stale entry (the
-    paper's claim that the descriptive schema is small and *stable*
-    makes invalidations rare in practice).  Two further stamps keep
-    cached decisions honest without over-invalidating: the index
-    (DDL) epoch and the statistics epoch, both handled by
-    recompile-and-compare with in-place restamps when the decision
-    stands — and the statistics epoch adds an even cheaper short
-    circuit first: a plan none of whose priced schema nodes drifted
-    is restamped without recompiling at all.
+    A cached plan is handed out after one comparison of its stamp
+    with the engine's.  On a mismatch, a grown schema invalidates
+    exactly the stale entry (the paper's claim that the descriptive
+    schema is small and *stable* makes invalidations rare in
+    practice); DDL or drift in a priced schema node recompiles and
+    compares, restamping in place when the decision stands; a plan
+    none of whose priced schema nodes drifted is restamped without
+    recompiling at all.
     """
 
     def __init__(self, engine, capacity: int = PLAN_CACHE_CAPACITY,
@@ -654,51 +560,37 @@ class QueryPlanner:
         if isinstance(path, str):
             path = cached_parse_path(path)
         engine = self._engine
-        version = engine.schema.version
         stats = engine.stats
-        epoch = engine.indexes.epoch
-        stats_epoch = stats.epoch
+        stamp = (engine.schema.version, engine.indexes.epoch, stats.epoch)
         invalidated = False
         fresh: Optional[CompiledPlan] = None
         stale = self._plans.peek(path)
-        if stale is not None and stale.schema_version != version:
-            self._plans.invalidate(path)
-            invalidated = True
-        elif stale is not None and stale.index_epoch != epoch:
-            # DDL happened since this plan compiled.  Recompile and
-            # compare: an unchanged decision is restamped in place (a
-            # hit), a changed one is invalidated — so CREATE/DROP
-            # INDEX invalidates exactly the plans it affects.  The
-            # closure chain is always dropped: the probe may bind a
-            # *new* index object.
-            fresh = self._compile(path)
-            if _same_decision(fresh, stale):
-                _adopt(stale, fresh, drop_executor=True)
-                fresh = None
-            else:
+        if stale is not None and stale.stamp != stamp:
+            ddl = stale.stamp[1] != stamp[1]
+            if stale.stamp[0] != stamp[0]:
                 self._plans.invalidate(path)
                 invalidated = True
-        elif stale is not None and stale.stats_epoch != stats_epoch:
-            # Statistics drifted somewhere since this plan priced its
-            # candidates.  Exactly-scoped: if none of the schema nodes
-            # this plan consulted drifted, restamp without recompiling
-            # (the pricing inputs are unchanged, so the decision is).
-            if not stats.drifted_since(stale.stats_nodes,
-                                       stale.stats_epoch):
-                stale.stats_epoch = stats_epoch
+            elif not ddl and not stats.drifted_since(stale.stats_nodes,
+                                                     stale.stamp[2]):
+                # Statistics drifted, but in none of the schema nodes
+                # this plan priced: the pricing inputs are unchanged,
+                # so the decision is — restamp without recompiling.
+                stale.stamp = stamp
                 if obs.RECORDING:
                     obs.REGISTRY.counter(
                         "query.cost.stats_restamps").inc()
             else:
+                # DDL, or drift in a priced schema node.  Recompile
+                # and compare: an unchanged decision is restamped in
+                # place (a hit), a changed one is invalidated.  After
+                # DDL the closure chain is always dropped, because the
+                # probe may bind a *new* index object.
                 fresh = self._compile(path)
-                if obs.RECORDING:
+                if not ddl and obs.RECORDING:
                     obs.REGISTRY.counter(
                         "query.cost.stats_replans").inc()
                 if _same_decision(fresh, stale):
-                    # Same decision, same DDL epoch: the probe binds
-                    # the same index objects, so a live closure chain
-                    # stays valid unless the bindings actually moved.
-                    _adopt(stale, fresh, drop_executor=False)
+                    _adopt(stale, fresh, drop_executor=ddl)
                     fresh = None
                 else:
                     self._plans.invalidate(path)
@@ -717,7 +609,6 @@ class QueryPlanner:
             context.schema_nodes_scanned = len(plan.scan_nodes)
             context.pruned_schema_nodes = plan.pruned_schema_nodes
             context.index_used = plan.index_used
-            context.not_lowerable_reason = plan.not_lowerable_reason
             if plan.cost is not None:
                 context.cost_total = plan.cost.total
                 context.cost_estimated_rows = plan.cost.output_rows

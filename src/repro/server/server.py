@@ -352,7 +352,6 @@ class DatabaseServer:
                     # Expiry during commit: a lapsed holder rolls
                     # back instead of publishing.
                     self.leases.check(session.lease)
-                self._invalidate_live_queries()
         finally:
             session.deadline = previous_deadline
         self._account_request(session, "write", started)
@@ -406,11 +405,6 @@ class DatabaseServer:
             from repro.query.engine import StorageQueryEngine
             self._live_queries = StorageQueryEngine(self.engine)
         return self._live_queries
-
-    def _invalidate_live_queries(self) -> None:
-        # StorageQueryEngine tracks engine mutations itself (schema
-        # version restamps); nothing to do, kept as the named seam.
-        pass
 
     def _account_request(self, session: Session, kind: str,
                          started: int) -> None:

@@ -10,6 +10,8 @@ Three families of guarantees:
   cost structure: scan beats naive on a deep path, a selective
   eq-probe beats scanning, and the planner may override the structural
   first-predicate pick when a later predicate prices cheaper.
+* **Forced decisions** — the ``structural`` and ``scan`` policies
+  return a fixed, literal decision per query shape.
 * **Exactly-scoped invalidation** — a statistics-epoch bump re-plans
   only the plans whose *consulted* schema nodes drifted; every other
   plan is restamped in place, keeping its object identity and its
@@ -48,6 +50,68 @@ LIBRARY_CORPUS = (
 )
 
 
+#: The forced policies' decisions per query shape, as
+#: ``(strategy, index_used, probe mode, rest_predicates)``.  Indexes:
+#: a value index on ``library/book/@year`` and on
+#: ``library/book/author``, and the path index ``//author``.
+FORCED_DECISIONS = {
+    # value eq probe
+    "/library/book[@year='1990']/title": {
+        "structural": ("index", "value:library/book/@year", "eq", ()),
+        "scan": ("hybrid", "", None, ()),
+    },
+    "/library/book[@year='1990']": {
+        "structural": ("index", "value:library/book/@year", "eq", ()),
+        "scan": ("scan", "", None, ()),
+    },
+    "/library/book[@year='1990'][author]/title": {
+        "structural": ("index", "value:library/book/@year", "eq",
+                       ("[author]",)),
+        "scan": ("hybrid", "", None, ()),
+    },
+    # exists probe
+    "/library/book[@year]/title": {
+        "structural": ("index", "value:library/book/@year", "exists", ()),
+        "scan": ("hybrid", "", None, ()),
+    },
+    "/library/book[@year][@year='1975']/title": {
+        "structural": ("index", "value:library/book/@year", "exists",
+                       ("[@year='1975']",)),
+        "scan": ("hybrid", "", None, ()),
+    },
+    # probe via parent (an element-value index posts the children)
+    "/library/book[author='X']/title": {
+        "structural": ("index", "value:library/book/author", "eq", ()),
+        "scan": ("hybrid", "", None, ()),
+    },
+    "/library/book[author][@year='1990']/title": {
+        "structural": ("index", "value:library/book/author", "exists",
+                       ("[@year='1990']",)),
+        "scan": ("hybrid", "", None, ()),
+    },
+    # path index
+    "//author": {
+        "structural": ("index", "path://author", "path", ()),
+        "scan": ("scan", "", None, ()),
+    },
+    # positional predicate first: no probe may answer it
+    "/library/book[1][@year='1990']/title": {
+        "structural": ("hybrid", "", None, ()),
+        "scan": ("hybrid", "", None, ()),
+    },
+    # empty (structural pruning)
+    "/library/book[@zzz]/title": {
+        "structural": ("empty", "", None, ()),
+        "scan": ("empty", "", None, ()),
+    },
+    # naive forced by a positional // step
+    "//book[2]/title": {
+        "structural": ("naive", "", None, ()),
+        "scan": ("naive", "", None, ()),
+    },
+}
+
+
 def _build_engine():
     text = serialize_document(
         make_library_document(books=40, papers=12, seed=5,
@@ -59,6 +123,11 @@ def _build_engine():
 
 def _nids(descriptors):
     return [descriptor.nid for descriptor in descriptors]
+
+
+def _current_stamp(engine):
+    return (engine.schema.version, engine.indexes.epoch,
+            engine.stats.epoch)
 
 
 def _value_corpus(engine, queries):
@@ -138,6 +207,25 @@ class TestCorpusParity:
             for policy, engine_q in forced.items():
                 assert _nids(engine_q.evaluate(path)) == expected, \
                     f"{policy} policy diverges on {path} after mutations"
+
+
+class TestForcedPolicyDecisions:
+    @pytest.mark.parametrize("policy", ("structural", "scan"))
+    def test_decisions_match_the_table(self, policy):
+        engine = _build_engine()
+        engine.create_index("library/book/@year", kind="value",
+                            value_type="integer")
+        engine.create_index("library/book/author", kind="value")
+        engine.create_index("//author", kind="path")
+        queries = StorageQueryEngine(engine, planner_policy=policy)
+        for path, expected in FORCED_DECISIONS.items():
+            plan = queries.compile(path)
+            got = (plan.strategy, plan.index_used,
+                   plan.probe[0] if plan.probe else None,
+                   tuple(repr(p) for p in plan.rest_predicates))
+            assert got == expected[policy], f"{policy} on {path}"
+            assert _nids(queries.evaluate(path)) == \
+                _nids(queries.evaluate_naive(path)), f"{policy} on {path}"
 
 
 class TestPricingSanity:
@@ -262,6 +350,42 @@ class TestExactlyScopedInvalidation:
         assert _nids(queries.evaluate(paper_q)) == \
             _nids(queries.evaluate_naive(paper_q))
 
+    def test_ddl_and_drift_together_recompile_once(self):
+        engine = _build_engine()
+        queries = StorageQueryEngine(engine)
+        paper_q = "/library/paper/title"
+        plan = queries.compile(paper_q)
+        queries.evaluate(paper_q)
+        assert plan.executor is not None
+        assert any(node.path == "library/paper/author"
+                   for node in plan.stats_nodes)
+        # DDL and a drift of a priced node before the next compile.
+        engine.create_index("library/book/@year", kind="value",
+                            value_type="integer")
+        epoch_before = engine.stats.epoch
+        for paper in queries.evaluate_naive("/library/paper"):
+            for _ in range(4):
+                engine.insert_child(paper, 0, name=QName("", "author"))
+        assert engine.stats.epoch > epoch_before
+        registry = obs.REGISTRY
+        compiles = registry.counter("query.plan.compiles")
+        restamps = registry.counter("query.cost.stats_restamps")
+        replans = registry.counter("query.cost.stats_replans")
+        c0, r0, p0 = compiles.value, restamps.value, replans.value
+        invalidations = queries.cache_stats()["plan_invalidations"]
+        again = queries.compile(paper_q)
+        # One recompile under the DDL branch: the decision stands, so
+        # the plan is adopted in place with its executor dropped.
+        assert compiles.value == c0 + 1
+        assert again is plan
+        assert plan.executor is None
+        assert plan.stamp == _current_stamp(engine)
+        assert restamps.value == r0
+        assert replans.value == p0
+        assert queries.cache_stats()["plan_invalidations"] == invalidations
+        assert _nids(queries.evaluate(paper_q)) == \
+            _nids(queries.evaluate_naive(paper_q))
+
     def test_restamp_is_idempotent_until_next_drift(self):
         engine = _build_engine()
         queries = StorageQueryEngine(engine)
@@ -275,4 +399,4 @@ class TestExactlyScopedInvalidation:
         first = queries.compile("/library/book/title")
         second = queries.compile("/library/book/title")
         assert first is plan and second is plan
-        assert plan.stats_epoch == engine.stats.epoch
+        assert plan.stamp == _current_stamp(engine)

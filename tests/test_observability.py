@@ -257,35 +257,6 @@ class TestPrometheusRendering:
         assert text.endswith("\n")
 
 
-class TestNotLowerableReason:
-    def test_naive_plans_report_their_reason_in_explain(self):
-        obs.enable()
-        queries = StorageQueryEngine(_engine())
-        queries.evaluate("//book[2]")
-        record = obs.EXPLAINS.last()
-        assert record.as_dict()["strategy"] == "naive"
-        assert "positional predicate" in \
-            record.as_dict()["not_lowerable_reason"]
-        # Naive plans still lower (to a navigate closure), so the
-        # human rendering keeps the reason out of the way.
-        assert record.compiled is True
-        assert "not lowerable" not in record.render()
-
-    def test_unlowerable_strategy_surfaces_in_the_rendering(self):
-        queries = StorageQueryEngine(_engine())
-        plan = queries.compile("/library/book/title")
-        plan.strategy = "bogus"  # simulate a plan lowering can't take
-        plan.executor = None
-        obs.enable()
-        queries.evaluate("/library/book/title")
-        record = obs.EXPLAINS.last()
-        assert record.compiled is False
-        assert record.as_dict()["not_lowerable_reason"] == \
-            "no closure lowering for strategy 'bogus'"
-        assert "not lowerable:      no closure lowering" in \
-            record.render()
-
-
 class TestStatisticsCollector:
     def _mutate(self, engine):
         library = engine.children(engine.document)[0]
