@@ -50,6 +50,7 @@ from repro.server.session import (
 from repro.server.snapshots import SnapshotManager
 from repro.storage import faults
 from repro.storage.engine import StorageEngine
+from repro.storage.recovery import recover
 from repro.storage.txn import TransactionManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -187,7 +188,8 @@ class DatabaseServer:
                       if block_capacity else StorageEngine())
             engine.load_document(document)
         else:
-            engine = backend.load_engine()
+            # The image alone would lose the committed WAL tail.
+            engine = recover(backend).engine
         self.engine = engine
         wal = backend.open_wal(sync=sync_wal)
         if wal is None:
@@ -197,16 +199,19 @@ class DatabaseServer:
                 "recovery")
         self.wal = wal
         self.txns = TransactionManager(engine, wal)
-        if document is not None:
-            # Publish version zero so readers can pin immediately.
-            backend.checkpoint(engine, wal=wal)
         #: Serializes live-engine reads (write-session queries) with
-        #: the writer's mutations; reader sessions never touch it on
-        #: the fast path — only a contended snapshot pin falls back to
-        #: it (see SnapshotManager.pin).
+        #: the writer's mutations, and every commit and checkpoint with
+        #: its snapshot-key publication; reader sessions never touch it
+        #: on the fast path — only a contended snapshot pin falls back
+        #: to it (see SnapshotManager.pin).
         self._live_lock = threading.RLock()
         self.snapshots = SnapshotManager(backend,
                                          write_latch=self._live_lock)
+        # Publish version zero so readers can pin immediately.  Over an
+        # existing backend this also folds the recovered WAL tail into
+        # the image and resets the log, so this process's transaction
+        # ids (counting from 1) never meet an earlier process's records.
+        self._checkpoint()
         self.leases = LeaseManager(ttl=lease_ttl, seed=seed)
         self.admission = AdmissionController(
             max_sessions=max_sessions,
@@ -248,7 +253,13 @@ class DatabaseServer:
             cutoff = (time.monotonic() + deadline
                       if deadline is not None else None)
             if mode == "read":
-                snapshot = self.snapshots.pin()
+                if obs.RECORDING:
+                    pin_started = time.perf_counter_ns()
+                    snapshot = self.snapshots.pin()
+                    obs.REGISTRY.histogram("server.pin.ns").observe(
+                        time.perf_counter_ns() - pin_started)
+                else:
+                    snapshot = self.snapshots.pin()
                 session = Session(session_id, "read", self,
                                   deadline=cutoff, snapshot=snapshot)
             else:
@@ -326,7 +337,9 @@ class DatabaseServer:
         commit; *timeout* tightens the session deadline for this
         request only.  Deadline or lease failure inside the
         transaction aborts through the inverse-op rollback — the
-        engine state is exactly as before the call.
+        engine state is exactly as before the call.  A commit publishes
+        its COMMIT LSN as the new snapshot key before the live lock is
+        released.
         """
         session.check_open()
         if session.mode != "write":
@@ -352,6 +365,7 @@ class DatabaseServer:
                     # Expiry during commit: a lapsed holder rolls
                     # back instead of publishing.
                     self.leases.check(session.lease)
+                self.snapshots.committed(self.wal.last_lsn)
         finally:
             session.deadline = previous_deadline
         self._account_request(session, "write", started)
@@ -376,8 +390,7 @@ class DatabaseServer:
         valid; the named crash point covers the server dying here
         while readers outlive the old checkpoint.
         """
-        with self._live_lock:
-            info = self.backend.checkpoint(self.engine, wal=self.wal)
+        info = self._checkpoint()
         if self.snapshots.pinned():
             faults.fire("session.reader.checkpoint")
         if obs.RECORDING:
@@ -399,6 +412,14 @@ class DatabaseServer:
         self.close()
 
     # -- internals --------------------------------------------------------
+
+    def _checkpoint(self):
+        """Checkpoint and publish the new snapshot key atomically with
+        respect to commits."""
+        with self._live_lock:
+            info = self.backend.checkpoint(self.engine, wal=self.wal)
+            self.snapshots.checkpointed(info.lsn)
+        return info
 
     def _live_query_engine(self):
         if self._live_queries is None:
@@ -465,6 +486,8 @@ def server_report(registry=None) -> dict:
         "snapshots": {
             "materializations":
                 registry.value("server.snapshot.materializations"),
+            "roll_forwards":
+                registry.value("server.snapshot.roll_forwards"),
             "cache_hits":
                 registry.value("server.snapshot.cache_hits"),
             "pinned": registry.value("server.snapshot.pinned"),

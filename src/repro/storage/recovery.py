@@ -73,6 +73,9 @@ class RecoveryResult:
     image_path: str
     wal_path: Optional[str]
     checkpoint_lsn: int
+    #: LSN of the last COMMIT replayed (the checkpoint LSN when none):
+    #: with ``checkpoint_lsn``, the snapshot key of the result.
+    horizon: int = 0
     replayed: int = 0
     skipped: int = 0       # records at or below the checkpoint horizon
     discarded: int = 0     # records of transactions without a COMMIT
@@ -236,7 +239,8 @@ def _recover(target, wal_path, schema, strict) -> RecoveryResult:
         obs.REGISTRY.counter("storage.relabels")
     result = RecoveryResult(
         engine=engine, image_path=image_desc, wal_path=wal_desc,
-        checkpoint_lsn=engine.checkpoint_lsn, backend=backend_name,
+        checkpoint_lsn=engine.checkpoint_lsn,
+        horizon=engine.checkpoint_lsn, backend=backend_name,
         # The version of the image this recovery started from —
         # computed before replay, which may change the schema shape.
         snapshot_version=snapshot_version(engine.checkpoint_lsn,
@@ -244,80 +248,10 @@ def _recover(target, wal_path, schema, strict) -> RecoveryResult:
 
     if scan is not None:
         result.torn_bytes = scan.torn_bytes
-        committed = scan.committed_txns()
-        seen_committed: list[int] = []
-        seen_discarded: list[int] = []
-        index = {d.nid.symbols(): d
-                 for d in engine.iter_document_order()}
-        for record in scan.records:
-            if record.kind == COMMIT and record.txn in committed:
-                if record.txn not in seen_committed:
-                    seen_committed.append(record.txn)
-            if record.kind in DDL_KINDS:
-                if record.lsn <= engine.checkpoint_lsn:
-                    result.skipped += 1
-                    continue
-                if record.txn not in committed:
-                    result.discarded += 1
-                    if record.txn not in seen_discarded:
-                        seen_discarded.append(record.txn)
-                    continue
-                _apply_ddl(engine, record)
-                result.replayed += 1
-                continue
-            if record.kind == LOAD:
-                if record.lsn <= engine.checkpoint_lsn:
-                    # The bulk-load protocol checkpoints right after
-                    # the marker, so this is the normal case.
-                    result.skipped += 1
-                elif record.txn in committed:
-                    raise RecoveryError(
-                        f"WAL record {record.lsn}: a committed bulk "
-                        f"LOAD of {record.node_count} nodes was never "
-                        "checkpointed — its nodes have no per-op "
-                        "records and cannot be replayed; re-run the "
-                        "load")
-                else:
-                    result.discarded += 1
-                    if record.txn not in seen_discarded:
-                        seen_discarded.append(record.txn)
-                continue
-            if record.kind not in OP_KINDS:
-                continue
-            if record.lsn <= engine.checkpoint_lsn:
-                result.skipped += 1
-                continue
-            if record.txn not in committed:
-                result.discarded += 1
-                if record.txn not in seen_discarded:
-                    seen_discarded.append(record.txn)
-                continue
-            _apply(engine, index, record)
-            result.replayed += 1
-        result.committed_txns = seen_committed
-        result.discarded_txns = seen_discarded
-
-    result.relabels = engine.relabel_count
-    if result.relabels:  # pragma: no cover - Proposition 1 holds
-        raise RecoveryError(
-            f"recovery relabeled {result.relabels} nodes")
-    try:
-        engine.check_invariants()
-    except StorageError as error:
-        raise RecoveryError(f"recovered engine is corrupt: {error}") \
-            from error
-    result.index_definitions = len(engine.indexes)
-    if engine.indexes.active:
-        # Reconciliation: the indexes carried through image load +
-        # incremental replay maintenance must bisimulate a rebuild
-        # from the recovered block lists.
-        try:
-            result.indexes_verified = \
-                engine.indexes.verify_consistency()
-        except StorageError as error:
-            raise RecoveryError(
-                f"recovered index state is inconsistent: {error}") \
-                from error
+        replay(engine, scan.records,
+               {d.nid.symbols(): d for d in engine.iter_document_order()},
+               result, floor=engine.checkpoint_lsn)
+    check_replayed(engine, result)
     if strict:
         _verify_label_order(engine)
         # Replay maintained the statistics through the same mutation
@@ -340,6 +274,89 @@ def _recover(target, wal_path, schema, strict) -> RecoveryResult:
         obs.REGISTRY.histogram("recovery.replay.ns").observe(
             time.perf_counter_ns() - recover_started)
     return result
+
+
+def replay(engine: StorageEngine, records: list[WalRecord],
+           index: dict, result: RecoveryResult, floor: int) -> None:
+    """Redo the committed records of *records* whose LSN exceeds
+    *floor* — the one redo loop.
+
+    :func:`recover` runs it over the whole durable log with *floor*
+    the image's horizon; the reader-snapshot roll-forward
+    (:mod:`repro.server.snapshots`) runs it over the log suffix past a
+    materialized snapshot's horizon.  A record is committed iff its
+    transaction's COMMIT is among *records* (the single writer never
+    interleaves transactions, so a suffix cut at a commit boundary
+    holds every record of the transactions it commits).  *index* maps
+    label symbols to live descriptors and is kept in step with the
+    engine; counts accumulate in *result*.
+    """
+    committed = {r.txn for r in records if r.kind == COMMIT}
+
+    def discard(record: WalRecord) -> None:
+        result.discarded += 1
+        if record.txn not in result.discarded_txns:
+            result.discarded_txns.append(record.txn)
+
+    for record in records:
+        if record.kind == COMMIT:
+            result.horizon = max(result.horizon, record.lsn)
+            if record.txn not in result.committed_txns:
+                result.committed_txns.append(record.txn)
+            continue
+        if record.kind == LOAD:
+            if record.lsn <= floor:
+                # The bulk-load protocol checkpoints right after the
+                # marker, so this is the normal case.
+                result.skipped += 1
+            elif record.txn in committed:
+                raise RecoveryError(
+                    f"WAL record {record.lsn}: a committed bulk LOAD "
+                    f"of {record.node_count} nodes was never "
+                    "checkpointed — its nodes have no per-op records "
+                    "and cannot be replayed; re-run the load")
+            else:
+                discard(record)
+            continue
+        if record.kind not in OP_KINDS and record.kind not in DDL_KINDS:
+            continue
+        if record.lsn <= floor:
+            result.skipped += 1
+        elif record.txn not in committed:
+            discard(record)
+        else:
+            if record.kind in DDL_KINDS:
+                _apply_ddl(engine, record)
+            else:
+                _apply(engine, index, record)
+            result.replayed += 1
+
+
+def check_replayed(engine: StorageEngine, result: RecoveryResult) -> None:
+    """The checks every replayed engine must pass: no relabel
+    (Proposition 1), the §9 invariants, and indexes that bisimulate a
+    rebuild from the replayed block lists."""
+    result.relabels = engine.relabel_count
+    if result.relabels:  # pragma: no cover - Proposition 1 holds
+        raise RecoveryError(
+            f"recovery relabeled {result.relabels} nodes")
+    try:
+        engine.check_invariants()
+    except StorageError as error:
+        raise RecoveryError(f"recovered engine is corrupt: {error}") \
+            from error
+    result.index_definitions = len(engine.indexes)
+    if engine.indexes.active:
+        # Reconciliation: the indexes carried through image load +
+        # incremental replay maintenance must bisimulate a rebuild
+        # from the recovered block lists.
+        try:
+            result.indexes_verified = \
+                engine.indexes.verify_consistency()
+        except StorageError as error:
+            raise RecoveryError(
+                f"recovered index state is inconsistent: {error}") \
+                from error
 
 
 def _apply(engine: StorageEngine, index: dict, record: WalRecord) -> None:

@@ -48,7 +48,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro import obs
 from repro.errors import StorageError
@@ -62,7 +62,8 @@ from repro.xmlio.qname import QName
 _MAGIC = b"SEDNAWAL"
 _VERSION = 1
 _HEADER = _MAGIC + struct.pack("<H", _VERSION)
-_HEADER_LEN = len(_HEADER)
+#: Byte offset of the first frame in every log stream.
+HEADER_LEN = len(_HEADER)
 
 # Record kinds.
 BEGIN = 1
@@ -315,18 +316,28 @@ def scan_wal(data: bytes, describe: str = "WAL",
     """Scan one log byte stream up to the first torn/corrupt record."""
     if not data:
         return WalScan()
-    if len(data) < _HEADER_LEN or data[:len(_MAGIC)] != _MAGIC:
+    if len(data) < HEADER_LEN or data[:len(_MAGIC)] != _MAGIC:
         raise StorageError(
             f"{describe} is not a write-ahead log (bad magic)")
     version = struct.unpack_from("<H", data, len(_MAGIC))[0]
     if version != _VERSION:
         raise StorageError(f"unsupported WAL version {version}")
-    scan = WalScan(valid_bytes=_HEADER_LEN)
-    for payload, end in iter_frames(data, start=_HEADER_LEN):
-        scan.records.append(_decode_payload(payload, backend=backend))
+    scan = WalScan(valid_bytes=HEADER_LEN)
+    for record, end in iter_records(data, HEADER_LEN, backend=backend):
+        scan.records.append(record)
         scan.valid_bytes = end
     scan.torn_bytes = len(data) - scan.valid_bytes
     return scan
+
+
+def iter_records(data: bytes, start: int, backend: str = "file"
+                 ) -> Iterator[tuple[WalRecord, int]]:
+    """Yield ``(record, end_offset)`` for every CRC-checked frame of
+    *data* from byte *start* (a frame boundary) up to the first torn
+    or corrupt one — a reader that remembers where it stopped decodes
+    only the frames appended since."""
+    for payload, end in iter_frames(data, start=start):
+        yield _decode_payload(payload, backend=backend), end
 
 
 def read_wal(path: str | os.PathLike) -> WalScan:
